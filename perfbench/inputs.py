@@ -2,7 +2,8 @@
 
 Every input -- loaded rows, the planner's training sample, the calls of
 the timed phase -- is a plain tuple spec (see :mod:`reference`) drawn from
-``numpy.random.default_rng(seed)``.  The same seed and run length give the
+``numpy.random.default_rng(seed)`` (the training sample from the fixed
+``TRAINING_SEED``).  The same seed and run length give the
 same inputs, and no change to the program can change them.
 
 Loaded keys are the even integers ``0, 2, ..., 2 * ROWS - 2``.  Inserted
@@ -30,12 +31,21 @@ HYBRID_CALL_OPS = 64
 HYBRID_SKEWED = {"point": 0.49, "insert": 0.50, "update": 0.01}
 READ_ONLY_UNIFORM = {"point": 0.94, "range": 0.05, "update": 0.01}
 TRAINING_OPS = 4096
+#: The training sample is drawn from this fixed seed, not from ``--seed``:
+#: the planned layout follows the sample, and with a seeded sample the
+#: layout alone moved ``sim_ops_per_s`` by up to 10 % from seed to seed and
+#: the timed figures by about 8 %.  Every run plans the same layout; the
+#: seed varies the operations it serves.
+TRAINING_SEED = 0
 #: Share of the calls made in the "hybrid, skewed" mix before the drift.
-#: Its calls take about 2.5 times as long as the read-only ones, so 30 % of
-#: the calls is about half of the run's time.  An even split of the calls
-#: would put the median call latency in the gap between the two phases'
-#: latencies, where any noise in either phase moves it.
-DRIFT_AT = 0.3
+#: Its calls take about 2.5 times as long as the read-only ones, so 15 % of
+#: the calls is about a third of the run's time.  Every such call is slower
+#: than the median call, so the median call latency is the read-only
+#: calls' percentile ``50 / (1 - DRIFT_AT)``: with 15 % the 59th, in the
+#: dense middle of their latencies.  With 30 % it was the 71st, in their
+#: sparse upper tail, where the median spread by up to 19 % over ten runs;
+#: an even split would put it in the gap between the two phases.
+DRIFT_AT = 0.15
 
 #: One ``durable-writes`` call: pre-batched writes then read-your-writes.
 DURABLE_INSERTS = 32
@@ -135,7 +145,7 @@ def hybrid_inputs(seed: int, calls: int) -> tuple[list[tuple], list[list[tuple]]
     """Training sample plus ``calls`` calls: the first ``DRIFT_AT`` of them
     in the hybrid skewed mix, the rest drifted to the read-only uniform mix."""
     sample = mix_ops(
-        KeyPicker(np.random.default_rng([seed, 1])), HYBRID_SKEWED, TRAINING_OPS, True
+        KeyPicker(np.random.default_rng([TRAINING_SEED, 1])), HYBRID_SKEWED, TRAINING_OPS, True
     )
     picker = KeyPicker(np.random.default_rng([seed, 2]))
     first = drift_call(calls)

@@ -62,8 +62,34 @@ def parse(argv):
     return parser.parse_args(argv)
 
 
+def stop_helper_processes() -> None:
+    """Stop every process the run started and wait until each has ended.
+
+    Besides shard workers, ``multiprocessing`` starts a resource-tracker
+    process the first time a shared-memory segment is created or a worker
+    is spawned.  It only ends once it reads end-of-file on its pipe, which
+    without this would happen after the run had already exited.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def main(argv=None) -> int:
     args = parse(argv)
+    try:
+        return _run(args)
+    finally:
+        stop_helper_processes()
+
+
+def _run(args) -> int:
     import layers  # imports the program: fails here when src/ is missing
     from spans import Tracer
     from workloads import WORKLOADS
@@ -121,6 +147,8 @@ def main(argv=None) -> int:
     for name, metric in metrics.items():
         print(f"{name:34s} {metric['value']:14.4f} {metric['unit']}", file=sys.stderr)
     print(f"{'ops_per_s (this run)':34s} {outcome.metrics['ops_per_s']:14.1f}", file=sys.stderr)
+    print(f"{'ops_per_s (wall clock)':34s} {outcome.metrics['wall_ops_per_s']:14.1f}", file=sys.stderr)
+    print(f"{'steal share (timed phase)':34s} {outcome.metrics['steal_share']:14.4f}", file=sys.stderr)
     for problem in outcome.problems:
         print(f"PROBLEM: {problem}", file=sys.stderr)
     shutil.rmtree(scratch, ignore_errors=True)

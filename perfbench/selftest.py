@@ -114,9 +114,14 @@ def check_traced(workload: str) -> None:
 
 
 def main() -> int:
-    check_reference_rejects_perturbed()
-    for workload in SMALL_CALLS:
-        check_traced(workload)
+    from run import stop_helper_processes
+
+    try:
+        check_reference_rejects_perturbed()
+        for workload in SMALL_CALLS:
+            check_traced(workload)
+    finally:
+        stop_helper_processes()
     print("selftest passed")
     return 0
 

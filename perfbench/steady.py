@@ -53,13 +53,18 @@ def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
     return result
 
 
-def _stderr_ops(result: dict) -> float:
-    """The traced run's own ``ops_per_s``, from its summary on stderr."""
+def _stderr_value(result: dict, label: str) -> float:
+    """A figure of the run's summary on stderr, by its label."""
     return next(
         float(line.split()[-1])
         for line in result["stderr"].splitlines()
-        if line.startswith("ops_per_s (this run)")
+        if line.startswith(label)
     )
+
+
+def _stderr_ops(result: dict) -> float:
+    """The traced run's own ``ops_per_s``, from its summary on stderr."""
+    return _stderr_value(result, "ops_per_s (this run)")
 
 
 def summarize(values: list[float]) -> dict:
@@ -101,6 +106,8 @@ def main(argv=None) -> int:
                 f"{workload} seed {seed}: correct={result['correct']} "
                 f"failed={result['failed']}/{result['attempted']} "
                 f"ops/s={result['metrics']['ops_per_s']['value']:.1f} "
+                f"wall-clock ops/s={_stderr_value(result, 'ops_per_s (wall clock)'):.1f} "
+                f"steal={_stderr_value(result, 'steal share'):.3f} "
                 f"({result['elapsed_s']:.1f}s)",
                 file=sys.stderr,
             )

@@ -15,12 +15,21 @@ Each workload function takes ``(seed, seconds, tracer)`` and returns a
 The number of calls is fixed by the run length (``CALLS_PER_SECOND``), not
 by a clock, so a seed always issues the same operations and the simulated
 cost (``sim_ops_per_s``) repeats exactly.
+
+Times are taken net of steal: the CPU time a hypervisor gives to other
+machines while this one's CPUs have work (``/proc/stat``).  On a shared
+host steal is what spreads wall-clock figures most from run to run; each
+phase (the set-ups, the timed calls) counts its wall time and its steal,
+and its times are scaled by the share of wall time not lost to steal
+(:meth:`StealMeter.net_share`).
+Where the host steals nothing the figures are plain wall-clock time.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import resource
 import shutil
 import statistics
@@ -144,25 +153,81 @@ def children_rss_mb() -> float:
     return total
 
 
+def cpu_ns() -> tuple[int, int]:
+    """``(busy, steal)`` so far, summed over the machine's CPUs, in ns.
+
+    Busy is user, nice, system, irq and softirq time; steal is time the
+    CPUs had work but the hypervisor ran something else.  ``/proc/stat``
+    counts both in clock ticks (10 ms); ``(0, 0)`` where it is missing.
+    """
+    try:
+        with open("/proc/stat") as fh:
+            fields = [int(v) for v in fh.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return 0, 0
+    if len(fields) < 8:
+        return 0, 0
+    user, nice, system, _idle, _iowait, irq, softirq, steal = fields
+    tick_ns = 1_000_000_000 // os.sysconf("SC_CLK_TCK")
+    return (user + nice + system + irq + softirq) * tick_ns, steal * tick_ns
+
+
+class StealMeter:
+    """Wall time, busy CPU time and steal over the intervals it was entered for."""
+
+    def __init__(self) -> None:
+        self.wall_ns = 0
+        self.busy_ns = 0
+        self.steal_ns = 0
+
+    def __enter__(self) -> "StealMeter":
+        self._start = (time.perf_counter_ns(), *cpu_ns())
+        return self
+
+    def __exit__(self, *exc) -> None:
+        busy, steal = cpu_ns()
+        self.wall_ns += time.perf_counter_ns() - self._start[0]
+        self.busy_ns += busy - self._start[1]
+        self.steal_ns += steal - self._start[2]
+
+    def net_share(self) -> float:
+        """The share of the wall time that was not lost to steal (at least 0.1).
+
+        Steal is summed over the CPUs.  While one CPU at a time has work,
+        a stolen second is a second of wall time lost.  While several have
+        work at once, their steal overlaps, so it is spread over their
+        demand (busy plus stolen time), which then exceeds the wall time.
+        """
+        if self.wall_ns <= 0:
+            return 1.0
+        demand = max(self.wall_ns, self.busy_ns + self.steal_ns)
+        return max(1.0 - self.steal_ns / demand, 0.1)
+
+
 # --------------------------------------------------------------------- #
 # Shared phases
 # --------------------------------------------------------------------- #
 
 
 def _setup(name, build, teardown, tracer) -> tuple[object, float]:
-    """Build the deployment ``SETUP_REPS`` times; keep the last one."""
+    """Build the deployment ``SETUP_REPS`` times; keep the last one.
+
+    Returns the deployment and the median set-up time, net of steal.
+    """
     times = []
+    meter = StealMeter()
     for rep in range(SETUP_REPS[name]):
         if tracer is not None:
             tracer.call = "setup"
         gc.collect()
-        start = time.perf_counter()
-        deployment = build()
-        times.append(time.perf_counter() - start)
+        with meter:
+            start = time.perf_counter()
+            deployment = build()
+            times.append(time.perf_counter() - start)
         if rep < SETUP_REPS[name] - 1:
             teardown(deployment)
             deployment = None  # let it go before the next one is built
-    return deployment, statistics.median(times)
+    return deployment, statistics.median(times) * meter.net_share()
 
 
 class Kept(NamedTuple):
@@ -190,10 +255,11 @@ def keep(specs, result) -> Kept:
 def _timed(session, calls, tracer, between=None):
     """Run every call once.
 
-    Returns ``(kept, latencies_ns, busy_s, error)``: one :class:`Kept` per
-    completed call, each call's ``execute`` wall time, the time spent in
-    the program (``execute`` calls plus whatever ``between`` reports, such
-    as checkpoints), and ``(call index, message)`` if a call raised.  The
+    Returns ``(kept, latencies_ns, busy_s, error, meter)``: one
+    :class:`Kept` per completed call, each call's ``execute`` wall time,
+    the time spent in the program (``execute`` calls plus whatever
+    ``between`` reports, such as checkpoints), ``(call index, message)`` if
+    a call raised, and the :class:`StealMeter` of the whole phase.  The
     benchmark's own bookkeeping between calls is not part of ``busy_s``.
     """
     oplists = [[to_op(spec) for spec in specs] for specs in calls]
@@ -204,27 +270,29 @@ def _timed(session, calls, tracer, between=None):
     gc.collect()
     gc.freeze()  # the inputs are not the program's garbage to scan
     counts_before = dict(tracer.counts) if tracer is not None else {}
+    meter = StealMeter()
     try:
-        for index, oplist in enumerate(oplists):
-            if tracer is not None:
-                tracer.call = index
-                root = tracer.begin("call")
-            try:
-                t0 = time.perf_counter_ns()
-                result = session.execute(oplist)
-                t1 = time.perf_counter_ns()
-            except Exception as exc:  # counted as failed, reported, run stops
-                error = (index, f"call {index} raised {type(exc).__name__}: {exc}")
-                break
-            finally:
+        with meter:
+            for index, oplist in enumerate(oplists):
                 if tracer is not None:
-                    tracer.end(root, counts[index])
-            latencies.append(t1 - t0)
-            busy_ns += t1 - t0
-            kept.append(keep(calls[index], result))
-            del result
-            if between is not None:
-                busy_ns += between(index)
+                    tracer.call = index
+                    root = tracer.begin("call")
+                try:
+                    t0 = time.perf_counter_ns()
+                    result = session.execute(oplist)
+                    t1 = time.perf_counter_ns()
+                except Exception as exc:  # counted as failed, reported, run stops
+                    error = (index, f"call {index} raised {type(exc).__name__}: {exc}")
+                    break
+                finally:
+                    if tracer is not None:
+                        tracer.end(root, counts[index])
+                latencies.append(t1 - t0)
+                busy_ns += t1 - t0
+                kept.append(keep(calls[index], result))
+                del result
+                if between is not None:
+                    busy_ns += between(index)
     finally:
         gc.unfreeze()
     if tracer is not None:
@@ -232,11 +300,15 @@ def _timed(session, calls, tracer, between=None):
         tracer.timed_counts = {
             name: count - counts_before.get(name, 0) for name, count in tracer.counts.items()
         }
-    return kept, latencies, busy_ns / 1e9, error
+    return kept, latencies, busy_ns / 1e9, error, meter
 
 
-def _account(outcome, calls, kept, latencies, busy_s, error, constants):
-    """End-to-end metrics, failure counts and block-access tallies."""
+def _account(outcome, calls, kept, latencies, busy_s, error, meter, constants):
+    """End-to-end metrics, failure counts and block-access tallies.
+
+    ``ops_per_s`` and ``batch_p50_ms`` are net of the phase's steal; the
+    per-layer ``batch_p99_ms`` is left as measured.
+    """
     counts = [sum(spec_ops(spec) for spec in specs) for specs in calls]
     outcome.attempted = sum(counts)
     outcome.failed = sum(k.errors for k in kept)
@@ -250,10 +322,13 @@ def _account(outcome, calls, kept, latencies, busy_s, error, constants):
     totals = np.sum([k.accesses for k in kept], axis=0)
     sim_ns = AccessCounter(*(int(v) for v in totals)).cost(constants)
     lat_ms = np.asarray(latencies, dtype=np.float64) / 1e6
+    share = meter.net_share()
     outcome.metrics.update(
-        ops_per_s=ops_done / busy_s,
-        batch_p50_ms=float(np.percentile(lat_ms, 50)),
+        ops_per_s=ops_done / (busy_s * share),
+        batch_p50_ms=float(np.percentile(lat_ms, 50)) * share,
         sim_ops_per_s=ops_done / (sim_ns / 1e9),
+        wall_ops_per_s=ops_done / busy_s,
+        steal_share=1.0 - share,
     )
     outcome.layer.update(
         {
@@ -324,9 +399,9 @@ def hybrid_drift(seed: int, seconds: float, tracer=None, calls: int | None = Non
         deployment[1].close(reorganize=False)
 
     (db, session), setup_s = _setup("hybrid-drift", build, teardown, tracer)
-    kept, latencies, busy_s, error = _timed(session, call_specs, tracer)
+    kept, latencies, busy_s, error, meter = _timed(session, call_specs, tracer)
     rss = self_rss_mb()
-    _account(outcome, call_specs, kept, latencies, busy_s, error, db.constants)
+    _account(outcome, call_specs, kept, latencies, busy_s, error, meter, db.constants)
     drift_replans = sum(k.replans for k in kept[inputs.drift_call(n_calls) :])
     session.close()
     reference = _reference(keys, payload, call_specs)
@@ -388,8 +463,8 @@ def durable_writes(seed: int, seconds: float, tracer=None, calls: int | None = N
         db.checkpoint()
         return time.perf_counter_ns() - start
 
-    kept, latencies, busy_s, error = _timed(session, call_specs, tracer, between)
-    _account(outcome, call_specs, kept, latencies, busy_s, error, db.constants)
+    kept, latencies, busy_s, error, meter = _timed(session, call_specs, tracer, between)
+    _account(outcome, call_specs, kept, latencies, busy_s, error, meter, db.constants)
     if not all(k.durable for k in kept):
         outcome.problems.append("a call under fsync='always' returned durable=False")
 
@@ -505,10 +580,10 @@ def sharded_reads(seed: int, seconds: float, tracer=None, calls: int | None = No
 
     (db, session), setup_s = _setup("sharded-reads", build, teardown, tracer)
     try:
-        kept, latencies, busy_s, error = _timed(session, call_specs, tracer)
+        kept, latencies, busy_s, error, meter = _timed(session, call_specs, tracer)
         rss = self_rss_mb() + children_rss_mb()
         constants = constants_for_block_values(DEFAULT_BLOCK_VALUES)
-        _account(outcome, call_specs, kept, latencies, busy_s, error, constants)
+        _account(outcome, call_specs, kept, latencies, busy_s, error, meter, constants)
         reference = _reference(keys, payload, call_specs)
         _check(outcome, reference, call_specs, kept)
         if tracer is not None:
